@@ -21,6 +21,7 @@ import (
 	"ganglia/internal/gxml"
 	"ganglia/internal/summary"
 	"ganglia/internal/transport"
+	"ganglia/internal/webfront"
 )
 
 func main() {
@@ -62,12 +63,14 @@ func runOnce(addr, q, format string, isGmon bool) error {
 	}
 
 	if format == "xml" {
+		//lint:allow boundedread streams to stdout, holding no more than one buffer
 		if _, err := io.Copy(os.Stdout, bufio.NewReader(conn)); err != nil {
 			return fmt.Errorf("read: %w", err)
 		}
 		return nil
 	}
-	rep, err := gxml.Parse(bufio.NewReader(conn))
+	// The parsed report is held whole, so cap the download as a viewer does.
+	rep, err := gxml.Parse(bufio.NewReader(io.LimitReader(conn, webfront.DefaultMaxResponseBytes)))
 	if err != nil {
 		return fmt.Errorf("parse: %w", err)
 	}

@@ -53,6 +53,11 @@ type subscriber struct {
 	conn    net.Conn
 	closed  bool
 	rng     *rand.Rand
+
+	// report is the reassembly buffer applyStreamFrame reuses frame to
+	// frame. Only the attempt in flight touches it, so it needs no
+	// lock; the parse copies every string it keeps out of it.
+	report []byte
 }
 
 // status reports the link state for SourceStatus.
@@ -258,12 +263,13 @@ func (g *Gmetad) applyStreamFrame(slot *sourceSlot, addr string, led *stream.Led
 	if err := led.Apply(d, full); err != nil {
 		return err
 	}
-	report := led.Assemble(nil, footerBytes)
+	sub := slot.sub
+	sub.report = led.Assemble(sub.report[:0], footerBytes)
 	now := g.cfg.Clock.Now()
 	b := newBuilder(slot.cfg, now, g.cfg.Mode != OneLevel)
 	var parseErr error
 	timed(&g.acct.downloadParse, func() {
-		parseErr = gxml.ParseStream(bytes.NewReader(report), b.handler())
+		parseErr = gxml.ParseStream(bytes.NewReader(sub.report), b.handler())
 	})
 	if parseErr != nil {
 		return fmt.Errorf("reassembled report: %w", parseErr)

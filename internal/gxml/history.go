@@ -72,11 +72,11 @@ func (w *Writer) CloseHistory() { w.str("</HISTORY>\n") }
 
 // parseHistoryValue decodes a POINT's V attribute; unparseable text
 // degrades to NaN (unknown) rather than an error.
-func parseHistoryValue(s string) float64 {
-	if s == "NaN" {
+func parseHistoryValue(b []byte) float64 {
+	if string(b) == "NaN" {
 		return math.NaN()
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(string(b), 64)
 	if err != nil {
 		return math.NaN()
 	}

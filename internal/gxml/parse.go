@@ -2,14 +2,16 @@ package gxml
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 
 	"ganglia/internal/metric"
 	"ganglia/internal/summary"
+	"ganglia/internal/xdr"
 )
 
 // Handler receives streaming parse events. Nil callbacks are skipped,
@@ -59,46 +61,223 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("gxml: offset %d: %s", e.Offset, e.Msg)
 }
 
-type attr struct {
-	name  string
-	value string
+// maxTagBytes bounds one tag, the most the parser buffers at a time.
+// The largest tag a conforming gmond emits is a METRIC whose four
+// string attributes each hold xdr.MaxStringLen bytes with every byte
+// escaped (&quot; is six), about 1.5 MiB; past the cap the document is
+// rejected rather than buffered without limit.
+const maxTagBytes = 32 * xdr.MaxStringLen
+
+// maxEntity bounds the text between '&' and ';' in an entity reference.
+const maxEntity = 9
+
+// elem identifies an element of the DTD.
+type elem uint8
+
+const (
+	// elemNone is a name outside the DTD and, as a parent, the
+	// document level.
+	elemNone elem = iota
+	elemReport
+	elemGrid
+	elemCluster
+	elemHost
+	elemMetric
+	elemHosts
+	elemMetrics
+	elemSourceHealth
+	elemHistory
+	elemPoint
+)
+
+var elemNames = [...]string{"", "GANGLIA_XML", "GRID", "CLUSTER", "HOST", "METRIC",
+	"HOSTS", "METRICS", "SOURCE_HEALTH", "HISTORY", "POINT"}
+
+// parents holds, per element, the elements it may appear in as a bit
+// mask over elem.
+var parents = [...]uint16{
+	elemReport:       1 << elemNone,
+	elemGrid:         1<<elemReport | 1<<elemGrid,
+	elemCluster:      1<<elemReport | 1<<elemGrid,
+	elemHost:         1 << elemCluster,
+	elemMetric:       1 << elemHost,
+	elemHosts:        1<<elemGrid | 1<<elemCluster,
+	elemMetrics:      1<<elemGrid | 1<<elemCluster,
+	elemSourceHealth: 1 << elemGrid,
+	elemHistory:      1 << elemReport,
+	elemPoint:        1 << elemHistory,
+}
+
+func elemOf(name []byte) elem {
+	for el := elemReport; el <= elemPoint; el++ {
+		if string(name) == elemNames[el] {
+			return el
+		}
+	}
+	return elemNone
+}
+
+// attr identifies an attribute the Handler receives; the DTD's
+// elements share one name space, so NAME is one attr wherever it
+// appears.
+type attr uint8
+
+const (
+	attrOther attr = iota
+	attrVersion
+	attrSource
+	attrName
+	attrAuthority
+	attrLocaltime
+	attrOwner
+	attrURL
+	attrIP
+	attrReported
+	attrTN
+	attrTMAX
+	attrDMAX
+	attrVal
+	attrType
+	attrUnits
+	attrSlope
+	attrUp
+	attrDown
+	attrSum
+	attrSumSq
+	attrNum
+	attrStatus
+	attrActive
+	attrDownSince
+	attrLastError
+	attrCluster
+	attrHost
+	attrMetric
+	attrCF
+	attrStep
+	attrT
+	attrV
+	numAttrs
+)
+
+func attrOf(name []byte) attr {
+	switch string(name) {
+	case "VERSION":
+		return attrVersion
+	case "SOURCE":
+		return attrSource
+	case "NAME":
+		return attrName
+	case "AUTHORITY":
+		return attrAuthority
+	case "LOCALTIME":
+		return attrLocaltime
+	case "OWNER":
+		return attrOwner
+	case "URL":
+		return attrURL
+	case "IP":
+		return attrIP
+	case "REPORTED":
+		return attrReported
+	case "TN":
+		return attrTN
+	case "TMAX":
+		return attrTMAX
+	case "DMAX":
+		return attrDMAX
+	case "VAL":
+		return attrVal
+	case "TYPE":
+		return attrType
+	case "UNITS":
+		return attrUnits
+	case "SLOPE":
+		return attrSlope
+	case "UP":
+		return attrUp
+	case "DOWN":
+		return attrDown
+	case "SUM":
+		return attrSum
+	case "SUMSQ":
+		return attrSumSq
+	case "NUM":
+		return attrNum
+	case "STATUS":
+		return attrStatus
+	case "ACTIVE":
+		return attrActive
+	case "DOWN_SINCE":
+		return attrDownSince
+	case "LAST_ERROR":
+		return attrLastError
+	case "CLUSTER":
+		return attrCluster
+	case "HOST":
+		return attrHost
+	case "METRIC":
+		return attrMetric
+	case "CF":
+		return attrCF
+	case "STEP":
+		return attrStep
+	case "T":
+		return attrT
+	case "V":
+		return attrV
+	}
+	return attrOther
 }
 
 type parser struct {
 	br   *bufio.Reader
 	h    *Handler
-	off  int64
-	stk  []string
+	off  int64 // bytes consumed
+	stk  []elem
 	skip int // depth inside an unknown element's subtree
-	atts []attr
 	// rootClosed records that a complete GANGLIA_XML element was seen
 	// (including the self-closing form).
 	rootClosed bool
+
+	// vals holds the current tag's attribute values, raw, as views of
+	// the tag; bit a of set marks vals[a] present, and bit a of amp
+	// marks it holding entity references. The first of duplicate
+	// attributes wins.
+	vals     [numAttrs][]byte
+	set, amp uint64
+
+	tag  []byte            // a tag that spans the reader's buffer
+	ent  []byte            // an attribute value with its entities decoded
+	strs map[string]string // every string handed out, one copy each
 }
 
 func (p *parser) errf(format string, args ...any) error {
 	return &SyntaxError{Offset: p.off, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) readByte() (byte, error) {
-	c, err := p.br.ReadByte()
-	if err == nil {
-		p.off++
-	}
-	return c, err
-}
-
 // ParseStream reads one GANGLIA_XML document from r, invoking h's
 // callbacks as elements are encountered. It validates nesting against
 // the Ganglia DTD and fails on truncated or malformed input. Unknown
 // elements (and their subtrees) are skipped for forward compatibility.
+//
+// The parser scans whole tags out of the reader's buffer (r itself
+// when it is a *bufio.Reader) and matches names as bytes. Strings
+// handed to h are copies, made once per distinct value per document,
+// so they stay valid after ParseStream returns. A tag longer than
+// maxTagBytes is a SyntaxError.
 func ParseStream(r io.Reader, h *Handler) error {
-	p := &parser{br: bufio.NewReaderSize(r, 32*1024), h: h}
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, 32*1024)
+	}
+	p := &parser{br: br, h: h, strs: make(map[string]string)}
 	for {
-		c, err := p.readByte()
+		// The Ganglia dialect has no element text; tolerate and skip
+		// whatever appears between tags (whitespace in practice).
+		err := p.skipPast('<')
 		if err == io.EOF {
 			if len(p.stk) != 0 {
-				return p.errf("unexpected EOF inside <%s>", p.stk[len(p.stk)-1])
+				return p.errf("unexpected EOF inside <%s>", elemNames[p.stk[len(p.stk)-1]])
 			}
 			if !p.rootClosed {
 				return p.errf("empty document")
@@ -108,470 +287,422 @@ func ParseStream(r io.Reader, h *Handler) error {
 		if err != nil {
 			return err
 		}
-		if c != '<' {
-			// The Ganglia dialect has no element text; tolerate and
-			// skip whatever appears between tags (whitespace in
-			// practice).
-			continue
-		}
-		c, err = p.readByte()
+		next, err := p.br.Peek(1)
 		if err != nil {
 			return p.errf("truncated tag")
 		}
-		switch c {
+		switch next[0] {
 		case '?':
-			if err := p.skipUntil("?>"); err != nil {
-				return err
-			}
+			p.discard(1)
+			err = p.skipThrough("?>")
 		case '!':
-			if err := p.skipDeclaration(); err != nil {
-				return err
-			}
-		case '/':
-			name, err := p.readName('>')
-			if err != nil {
-				return err
-			}
-			if err := p.skipToGT(); err != nil {
-				return err
-			}
-			if err := p.closeElement(name); err != nil {
-				return err
-			}
+			p.discard(1)
+			err = p.skipDeclaration()
 		default:
-			if err := p.br.UnreadByte(); err != nil {
-				return err
-			}
-			p.off--
-			selfClosing, name, err := p.parseStartTag()
-			if err != nil {
-				return err
-			}
-			if err := p.openElement(name, selfClosing); err != nil {
-				return err
-			}
+			err = p.element()
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// skipUntil discards input through the first occurrence of the
-// two-byte terminator t.
-func (p *parser) skipUntil(t string) error {
-	var prev byte
+func (p *parser) readSlice(delim byte) ([]byte, error) {
+	b, err := p.br.ReadSlice(delim)
+	p.off += int64(len(b))
+	return b, err
+}
+
+func (p *parser) discard(n int) {
+	n, _ = p.br.Discard(n)
+	p.off += int64(n)
+}
+
+// skipPast discards input through the next delim.
+func (p *parser) skipPast(delim byte) error {
 	for {
-		c, err := p.readByte()
-		if err != nil {
-			return p.errf("truncated %q section", t)
+		if _, err := p.readSlice(delim); err != bufio.ErrBufferFull {
+			return err
 		}
-		if prev == t[0] && c == t[1] {
+	}
+}
+
+// skipThrough discards input through the first occurrence of end, a
+// two- or three-byte terminator closing with '>', among the bytes not
+// yet consumed.
+func (p *parser) skipThrough(end string) error {
+	var tail [2]byte // the last two bytes consumed before chunk
+	for {
+		chunk, err := p.readSlice('>')
+		if err == nil && endsWith(tail, chunk, end) {
 			return nil
 		}
-		prev = c
+		if err != nil && err != bufio.ErrBufferFull {
+			return p.errf("truncated %q section", end)
+		}
+		if n := len(chunk); n >= 2 {
+			tail = [2]byte{chunk[n-2], chunk[n-1]}
+		} else {
+			tail = [2]byte{tail[1], chunk[0]}
+		}
 	}
 }
 
-// skipDeclaration discards a <!...> construct: a comment (which may
-// contain '>') or a DOCTYPE possibly carrying an internal subset in
-// square brackets.
-func (p *parser) skipDeclaration() error {
-	// Check for a comment: we have consumed "<!", the next two bytes
-	// may be "--".
-	b, err := p.br.Peek(2)
-	if err == nil && b[0] == '-' && b[1] == '-' {
-		p.br.Discard(2)
-		p.off += 2
-		var a, bb byte
-		for {
-			c, err := p.readByte()
-			if err != nil {
-				return p.errf("truncated comment")
-			}
-			if a == '-' && bb == '-' && c == '>' {
-				return nil
-			}
-			a, bb = bb, c
+// endsWith reports whether tail followed by chunk ends with end.
+func endsWith(tail [2]byte, chunk []byte, end string) bool {
+	for i := 1; i <= len(end); i++ {
+		var c byte
+		if j := len(chunk) - i; j >= 0 {
+			c = chunk[j]
+		} else {
+			c = tail[2+j]
 		}
+		if c != end[len(end)-i] {
+			return false
+		}
+	}
+	return true
+}
+
+// skipDeclaration discards a <!...> construct, its "<!" consumed: a
+// comment (which may contain '>') or a DOCTYPE possibly carrying an
+// internal subset in square brackets.
+func (p *parser) skipDeclaration() error {
+	if b, err := p.br.Peek(2); err == nil && b[0] == '-' && b[1] == '-' {
+		p.discard(2)
+		return p.skipThrough("-->")
 	}
 	depth := 0
 	for {
-		c, err := p.readByte()
-		if err != nil {
-			return p.errf("truncated declaration")
+		chunk, err := p.readSlice('>')
+		depth += bytes.Count(chunk, []byte("[")) - bytes.Count(chunk, []byte("]"))
+		if err == nil && depth <= 0 {
+			return nil
 		}
-		switch c {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case '>':
-			if depth <= 0 {
-				return nil
-			}
+		if err != nil && err != bufio.ErrBufferFull {
+			return p.errf("truncated declaration")
 		}
 	}
 }
 
-func (p *parser) skipToGT() error {
+// readTag returns the bytes of a tag between its '<', consumed, and
+// the next '>', which may yet turn out to sit inside a quoted value
+// (see moreTag). The slice views the reader's buffer, or p.tag when
+// the tag spans it, and is valid until the next read.
+func (p *parser) readTag() ([]byte, error) {
+	chunk, err := p.readSlice('>')
+	if err == nil && len(chunk) <= maxTagBytes {
+		return chunk[:len(chunk)-1], nil
+	}
+	p.tag = p.tag[:0]
+	return p.spanTag(chunk, err, 0)
+}
+
+// moreTag reads on from a tag t that readTag ended at a '>' inside a
+// value opened by quote, through the '>' that really closes the tag.
+func (p *parser) moreTag(t []byte, quote byte) ([]byte, error) {
+	p.tag = append(append(p.tag[:0], t...), '>')
+	chunk, err := p.readSlice('>')
+	return p.spanTag(chunk, err, quote)
+}
+
+// spanTag appends chunk, the latest read, to the tag in p.tag, which
+// ends with quote open, and reads on through the first '>' outside
+// quotes.
+func (p *parser) spanTag(chunk []byte, err error, quote byte) ([]byte, error) {
 	for {
-		c, err := p.readByte()
-		if err != nil {
-			return p.errf("truncated end tag")
+		if len(p.tag)+len(chunk) > maxTagBytes {
+			return nil, p.errf("tag longer than %d bytes", maxTagBytes)
 		}
-		if c == '>' {
-			return nil
+		p.tag = append(p.tag, chunk...)
+		quote = scanQuotes(chunk, quote)
+		if err == nil && quote == 0 {
+			return p.tag[:len(p.tag)-1], nil
 		}
-		if !isSpace(c) {
-			return p.errf("unexpected %q in end tag", c)
+		if err != nil && err != bufio.ErrBufferFull {
+			return nil, p.errf("truncated tag")
+		}
+		chunk, err = p.readSlice('>')
+	}
+}
+
+// scanQuotes returns the quote open at the end of b, given the quote
+// open at its start (0 for none).
+func scanQuotes(b []byte, quote byte) byte {
+	for _, c := range b {
+		switch {
+		case quote == 0 && (c == '"' || c == '\''):
+			quote = c
+		case c == quote:
+			quote = 0
 		}
 	}
+	return quote
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-func isNameByte(c byte) bool {
-	return c == '_' || c == '-' || c == '.' || c == ':' ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
-// readName accumulates a tag or attribute name; stop is an additional
-// terminator the caller will handle (the byte is unread).
-func (p *parser) readName(stop byte) (string, error) {
-	var sb strings.Builder
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return "", p.errf("truncated name")
-		}
-		if isNameByte(c) {
-			sb.WriteByte(c)
-			continue
-		}
-		if c == stop || isSpace(c) || c == '/' || c == '>' || c == '=' {
-			if err := p.br.UnreadByte(); err != nil {
-				return "", err
-			}
-			p.off--
-			if sb.Len() == 0 {
-				return "", p.errf("empty name")
-			}
-			return sb.String(), nil
-		}
-		return "", p.errf("invalid name byte %q", c)
+var isNameByte = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c == '_' || c == '-' || c == '.' || c == ':' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 	}
+	return t
+}()
+
+// nameLen returns the length of the name that starts b.
+func nameLen(b []byte) int {
+	for i, c := range b {
+		if !isNameByte[c] {
+			return i
+		}
+	}
+	return len(b)
 }
 
-// parseStartTag parses "<NAME attr=.. ...>" or "<NAME .../>"; the '<'
-// has been consumed.
-func (p *parser) parseStartTag() (selfClosing bool, name string, err error) {
-	name, err = p.readName('>')
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+// element parses one start or end tag and delivers its events.
+func (p *parser) element() error {
+	t, err := p.readTag()
 	if err != nil {
-		return false, "", err
+		return err
 	}
-	p.atts = p.atts[:0]
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return false, "", p.errf("truncated tag <%s>", name)
+	if len(t) > 0 && t[0] == '/' {
+		n := 1 + nameLen(t[1:])
+		if n == 1 {
+			return p.errf("empty or invalid name in end tag")
 		}
-		switch {
-		case isSpace(c):
-			continue
-		case c == '>':
-			return false, name, nil
-		case c == '/':
-			c, err = p.readByte()
-			if err != nil || c != '>' {
-				return false, "", p.errf("expected '>' after '/' in <%s>", name)
-			}
-			return true, name, nil
-		default:
-			if err := p.br.UnreadByte(); err != nil {
-				return false, "", err
-			}
-			p.off--
-			aname, err := p.readName('=')
-			if err != nil {
-				return false, "", err
-			}
-			if err := p.expectByte('='); err != nil {
-				return false, "", err
-			}
-			aval, err := p.readAttrValue()
-			if err != nil {
-				return false, "", err
-			}
-			p.atts = append(p.atts, attr{aname, aval})
+		if i := skipSpace(t, n); i != len(t) {
+			return p.errf("unexpected %q in end tag", t[i])
+		}
+		return p.closeElement(t[1:n])
+	}
+	for {
+		quote, err := p.startTag(t)
+		if quote == 0 {
+			return err
+		}
+		if t, err = p.moreTag(t, quote); err != nil {
+			return err
 		}
 	}
 }
 
-func (p *parser) expectByte(want byte) error {
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return p.errf("truncated input, expected %q", want)
-		}
-		if c == want {
-			return nil
-		}
-		if !isSpace(c) {
-			return p.errf("expected %q, found %q", want, c)
-		}
+// startTag parses a start tag and delivers its events. When a quoted
+// value runs past the end of t, the '>' that ended t was inside it:
+// startTag then delivers nothing and returns the value's quote.
+func (p *parser) startTag(t []byte) (quote byte, err error) {
+	n := nameLen(t)
+	if n == 0 {
+		return 0, p.errf("empty or invalid element name")
 	}
-}
-
-func (p *parser) readAttrValue() (string, error) {
-	var quote byte
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return "", p.errf("truncated attribute value")
+	name := t[:n]
+	// Entities are rare; one search per tag spares one per value.
+	amp := bytes.IndexByte(t, '&') >= 0
+	p.set, p.amp = 0, 0
+	for i := n; ; {
+		i = skipSpace(t, i)
+		if i == len(t) {
+			return 0, p.openElement(name, false)
 		}
-		if isSpace(c) {
-			continue
-		}
-		if c == '"' || c == '\'' {
-			quote = c
-			break
-		}
-		return "", p.errf("attribute value must be quoted, found %q", c)
-	}
-	var sb strings.Builder
-	for {
-		c, err := p.readByte()
-		if err != nil {
-			return "", p.errf("truncated attribute value")
-		}
-		if c == quote {
-			return sb.String(), nil
-		}
-		if c == '&' {
-			r, err := p.readEntity()
-			if err != nil {
-				return "", err
+		if t[i] == '/' {
+			if i+1 != len(t) {
+				return 0, p.errf("expected '>' after '/' in <%s>", name)
 			}
-			sb.WriteRune(r)
-			continue
+			return 0, p.openElement(name, true)
 		}
-		sb.WriteByte(c)
+		k := i + nameLen(t[i:])
+		if k == i {
+			return 0, p.errf("invalid name byte %q in <%s>", t[i], name)
+		}
+		aname := t[i:k]
+		if i = skipSpace(t, k); i == len(t) || t[i] != '=' {
+			return 0, p.errf("expected '=' after %s in <%s>", aname, name)
+		}
+		if i = skipSpace(t, i+1); i == len(t) || (t[i] != '"' && t[i] != '\'') {
+			return 0, p.errf("attribute value must be quoted in <%s>", name)
+		}
+		e := bytes.IndexByte(t[i+1:], t[i])
+		if e < 0 {
+			return t[i], nil
+		}
+		v := t[i+1 : i+1+e]
+		i += e + 2
+		a := attrOf(aname)
+		if amp && bytes.IndexByte(v, '&') >= 0 {
+			var ok bool
+			if p.ent, ok = unescape(p.ent[:0], v); !ok {
+				return 0, p.errf("bad entity reference in <%s>", name)
+			}
+			if p.set&(1<<a) == 0 {
+				p.amp |= 1 << a
+			}
+		}
+		if p.set&(1<<a) == 0 {
+			p.vals[a] = v
+			p.set |= 1 << a
+		}
 	}
 }
 
-// readEntity decodes an entity reference after the '&'.
-func (p *parser) readEntity() (rune, error) {
-	var sb strings.Builder
+// unescape appends v to dst with its entity references decoded: the
+// five predefined entities and decimal or hex character references.
+func unescape(dst, v []byte) ([]byte, bool) {
 	for {
-		c, err := p.readByte()
-		if err != nil {
-			return 0, p.errf("truncated entity")
+		i := bytes.IndexByte(v, '&')
+		if i < 0 {
+			return append(dst, v...), true
 		}
-		if c == ';' {
-			break
+		dst = append(dst, v[:i]...)
+		v = v[i+1:]
+		j := bytes.IndexByte(v, ';')
+		if j < 0 || j > maxEntity {
+			return dst, false
 		}
-		if sb.Len() > 8 {
-			return 0, p.errf("entity too long")
+		r, ok := entity(v[:j])
+		if !ok {
+			return dst, false
 		}
-		sb.WriteByte(c)
+		dst = utf8.AppendRune(dst, r)
+		v = v[j+1:]
 	}
-	ent := sb.String()
-	switch ent {
+}
+
+// entity decodes the name of an entity reference.
+func entity(name []byte) (rune, bool) {
+	switch string(name) {
 	case "amp":
-		return '&', nil
+		return '&', true
 	case "lt":
-		return '<', nil
+		return '<', true
 	case "gt":
-		return '>', nil
+		return '>', true
 	case "quot":
-		return '"', nil
+		return '"', true
 	case "apos":
-		return '\'', nil
+		return '\'', true
 	}
-	if strings.HasPrefix(ent, "#x") || strings.HasPrefix(ent, "#X") {
-		n, err := strconv.ParseUint(ent[2:], 16, 32)
-		if err != nil {
-			return 0, p.errf("bad character reference &%s;", ent)
-		}
-		return rune(n), nil
+	digits, base := name, 10
+	switch {
+	case len(name) >= 2 && name[0] == '#' && (name[1] == 'x' || name[1] == 'X'):
+		digits, base = name[2:], 16
+	case len(name) >= 1 && name[0] == '#':
+		digits = name[1:]
+	default:
+		return 0, false
 	}
-	if strings.HasPrefix(ent, "#") {
-		n, err := strconv.ParseUint(ent[1:], 10, 32)
-		if err != nil {
-			return 0, p.errf("bad character reference &%s;", ent)
-		}
-		return rune(n), nil
-	}
-	return 0, p.errf("unknown entity &%s;", ent)
+	n, err := strconv.ParseUint(string(digits), base, 32)
+	return rune(n), err == nil
 }
 
-func (p *parser) findAttr(name string) string {
-	for i := range p.atts {
-		if p.atts[i].name == name {
-			return p.atts[i].value
-		}
+// raw returns attribute a of the current tag with its entities
+// decoded, nil when absent; the bytes are valid until the next raw
+// call or read.
+func (p *parser) raw(a attr) []byte {
+	if p.set&(1<<a) == 0 {
+		return nil
 	}
-	return ""
+	if p.amp&(1<<a) == 0 {
+		return p.vals[a]
+	}
+	p.ent, _ = unescape(p.ent[:0], p.vals[a]) // validated when the tag was read
+	return p.ent
 }
 
-func (p *parser) intAttr(name string) int64 {
-	v, err := strconv.ParseInt(p.findAttr(name), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-func (p *parser) floatAttr(name string) float64 {
-	v, err := strconv.ParseFloat(p.findAttr(name), 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-func (p *parser) parent() string {
-	if len(p.stk) == 0 {
+// str returns attribute a as a string, one copy per distinct value
+// per document.
+func (p *parser) str(a attr) string {
+	b := p.raw(a)
+	if len(b) == 0 {
 		return ""
 	}
-	return p.stk[len(p.stk)-1]
+	if s, ok := p.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	p.strs[s] = s
+	return s
 }
 
-func (p *parser) openElement(name string, selfClosing bool) error {
+// int parses attribute a as a base-10 integer; malformed or absent
+// numbers degrade to zero rather than killing the monitor.
+func (p *parser) int(a attr) int64 {
+	b := p.raw(a)
+	if len(b) == 0 {
+		return 0
+	}
+	// Plain digits that cannot overflow are the common case; anything
+	// else takes strconv's path.
+	if len(b) <= 18 {
+		var v int64
+		for _, c := range b {
+			if c < '0' || c > '9' {
+				goto slow
+			}
+			v = v*10 + int64(c-'0')
+		}
+		return v
+	}
+slow:
+	v, err := strconv.ParseInt(string(b), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return v
+}
+
+func (p *parser) float(a attr) float64 {
+	b := p.raw(a)
+	if len(b) == 0 {
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return 0
+	}
+	return v
+}
+
+func (p *parser) openElement(name []byte, selfClosing bool) error {
 	if p.skip > 0 {
 		if !selfClosing {
 			p.skip++
 		}
 		return nil
 	}
-	parent := p.parent()
-	known := true
-	switch name {
-	case "GANGLIA_XML":
-		if parent != "" {
-			return p.errf("GANGLIA_XML must be the document root")
-		}
-		if p.h.StartReport != nil {
-			p.h.StartReport(p.findAttr("VERSION"), p.findAttr("SOURCE"))
-		}
-	case "GRID":
-		if parent != "GANGLIA_XML" && parent != "GRID" {
-			return p.errf("GRID inside <%s>", parent)
-		}
-		if p.h.StartGrid != nil {
-			p.h.StartGrid(p.findAttr("NAME"), p.findAttr("AUTHORITY"), p.intAttr("LOCALTIME"))
-		}
-	case "CLUSTER":
-		if parent != "GANGLIA_XML" && parent != "GRID" {
-			return p.errf("CLUSTER inside <%s>", parent)
-		}
-		if p.h.StartCluster != nil {
-			p.h.StartCluster(p.findAttr("NAME"), p.findAttr("OWNER"),
-				p.findAttr("URL"), p.intAttr("LOCALTIME"))
-		}
-	case "HOST":
-		if parent != "CLUSTER" {
-			return p.errf("HOST inside <%s>", parent)
-		}
-		if p.h.StartHost != nil {
-			p.h.StartHost(Host{
-				Name:     p.findAttr("NAME"),
-				IP:       p.findAttr("IP"),
-				Reported: p.intAttr("REPORTED"),
-				TN:       uint32(p.intAttr("TN")),
-				TMAX:     uint32(p.intAttr("TMAX")),
-				DMAX:     uint32(p.intAttr("DMAX")),
-			})
-		}
-	case "METRIC":
-		if parent != "HOST" {
-			return p.errf("METRIC inside <%s>", parent)
-		}
-		if p.h.Metric != nil {
-			typ := metric.ParseType(p.findAttr("TYPE"))
-			p.h.Metric(metric.Metric{
-				Name:   p.findAttr("NAME"),
-				Val:    metric.NewTyped(typ, p.findAttr("VAL")),
-				Units:  p.findAttr("UNITS"),
-				Slope:  metric.ParseSlope(p.findAttr("SLOPE")),
-				TN:     uint32(p.intAttr("TN")),
-				TMAX:   uint32(p.intAttr("TMAX")),
-				DMAX:   uint32(p.intAttr("DMAX")),
-				Source: p.findAttr("SOURCE"),
-			})
-		}
-	case "HOSTS":
-		if parent != "GRID" && parent != "CLUSTER" {
-			return p.errf("HOSTS inside <%s>", parent)
-		}
-		if p.h.SummaryHosts != nil {
-			p.h.SummaryHosts(uint32(p.intAttr("UP")), uint32(p.intAttr("DOWN")))
-		}
-	case "METRICS":
-		if parent != "GRID" && parent != "CLUSTER" {
-			return p.errf("METRICS inside <%s>", parent)
-		}
-		if p.h.SummaryMetric != nil {
-			p.h.SummaryMetric(summary.Metric{
-				Name:  p.findAttr("NAME"),
-				Sum:   p.floatAttr("SUM"),
-				SumSq: p.floatAttr("SUMSQ"),
-				Num:   uint32(p.intAttr("NUM")),
-				Type:  metric.ParseType(p.findAttr("TYPE")),
-				Units: p.findAttr("UNITS"),
-			})
-		}
-	case "SOURCE_HEALTH":
-		if parent != "GRID" {
-			return p.errf("SOURCE_HEALTH inside <%s>", parent)
-		}
-		if p.h.SourceHealth != nil {
-			p.h.SourceHealth(SourceHealth{
-				Name:       p.findAttr("NAME"),
-				Status:     p.findAttr("STATUS"),
-				ActiveAddr: p.findAttr("ACTIVE"),
-				DownSince:  p.intAttr("DOWN_SINCE"),
-				LastError:  p.findAttr("LAST_ERROR"),
-			})
-		}
-	case "HISTORY":
-		if parent != "GANGLIA_XML" {
-			return p.errf("HISTORY inside <%s>", parent)
-		}
-		if p.h.StartHistory != nil {
-			p.h.StartHistory(History{
-				Cluster: p.findAttr("CLUSTER"),
-				Host:    p.findAttr("HOST"),
-				Metric:  p.findAttr("METRIC"),
-				CF:      p.findAttr("CF"),
-				Step:    p.intAttr("STEP"),
-			})
-		}
-	case "POINT":
-		if parent != "HISTORY" {
-			return p.errf("POINT inside <%s>", parent)
-		}
-		if p.h.HistoryPoint != nil {
-			p.h.HistoryPoint(HistoryPoint{
-				Time:  p.intAttr("T"),
-				Value: parseHistoryValue(p.findAttr("V")),
-			})
-		}
-	default:
-		known = false
-	}
-	if !known {
+	el := elemOf(name)
+	if el == elemNone {
 		if !selfClosing {
 			p.skip = 1
 		}
 		return nil
 	}
-	if selfClosing {
-		return p.dispatchEnd(name)
+	parent := elemNone
+	if len(p.stk) > 0 {
+		parent = p.stk[len(p.stk)-1]
 	}
-	p.stk = append(p.stk, name)
+	if parents[el]&(1<<parent) == 0 {
+		if el == elemReport {
+			return p.errf("GANGLIA_XML must be the document root")
+		}
+		return p.errf("%s inside <%s>", name, elemNames[parent])
+	}
+	p.start(el)
+	if selfClosing {
+		p.end(el)
+		return nil
+	}
+	p.stk = append(p.stk, el)
 	return nil
 }
 
-func (p *parser) closeElement(name string) error {
+func (p *parser) closeElement(name []byte) error {
 	if p.skip > 0 {
 		p.skip--
 		return nil
@@ -580,38 +711,129 @@ func (p *parser) closeElement(name string) error {
 		return p.errf("unmatched </%s>", name)
 	}
 	top := p.stk[len(p.stk)-1]
-	if top != name {
-		return p.errf("</%s> closes <%s>", name, top)
+	if string(name) != elemNames[top] {
+		return p.errf("</%s> closes <%s>", name, elemNames[top])
 	}
 	p.stk = p.stk[:len(p.stk)-1]
-	return p.dispatchEnd(name)
+	p.end(top)
+	return nil
 }
 
-func (p *parser) dispatchEnd(name string) error {
-	switch name {
-	case "GANGLIA_XML":
-		p.rootClosed = true
-		if p.h.EndReport != nil {
-			p.h.EndReport()
+// start delivers the event an element's start tag carries.
+func (p *parser) start(el elem) {
+	h := p.h
+	switch el {
+	case elemReport:
+		if h.StartReport != nil {
+			h.StartReport(p.str(attrVersion), p.str(attrSource))
 		}
-	case "GRID":
-		if p.h.EndGrid != nil {
-			p.h.EndGrid()
+	case elemGrid:
+		if h.StartGrid != nil {
+			h.StartGrid(p.str(attrName), p.str(attrAuthority), p.int(attrLocaltime))
 		}
-	case "CLUSTER":
-		if p.h.EndCluster != nil {
-			p.h.EndCluster()
+	case elemCluster:
+		if h.StartCluster != nil {
+			h.StartCluster(p.str(attrName), p.str(attrOwner), p.str(attrURL), p.int(attrLocaltime))
 		}
-	case "HOST":
-		if p.h.EndHost != nil {
-			p.h.EndHost()
+	case elemHost:
+		if h.StartHost != nil {
+			h.StartHost(Host{
+				Name:     p.str(attrName),
+				IP:       p.str(attrIP),
+				Reported: p.int(attrReported),
+				TN:       uint32(p.int(attrTN)),
+				TMAX:     uint32(p.int(attrTMAX)),
+				DMAX:     uint32(p.int(attrDMAX)),
+			})
 		}
-	case "HISTORY":
-		if p.h.EndHistory != nil {
-			p.h.EndHistory()
+	case elemMetric:
+		if h.Metric != nil {
+			typ := metric.ParseType(string(p.raw(attrType)))
+			var val metric.Value
+			if typ.Numeric() {
+				val = metric.NewNumber(typ, p.float(attrVal))
+			} else {
+				val = metric.NewTyped(typ, p.str(attrVal))
+			}
+			h.Metric(metric.Metric{
+				Name:   p.str(attrName),
+				Val:    val,
+				Units:  p.str(attrUnits),
+				Slope:  metric.ParseSlope(string(p.raw(attrSlope))),
+				TN:     uint32(p.int(attrTN)),
+				TMAX:   uint32(p.int(attrTMAX)),
+				DMAX:   uint32(p.int(attrDMAX)),
+				Source: p.str(attrSource),
+			})
+		}
+	case elemHosts:
+		if h.SummaryHosts != nil {
+			h.SummaryHosts(uint32(p.int(attrUp)), uint32(p.int(attrDown)))
+		}
+	case elemMetrics:
+		if h.SummaryMetric != nil {
+			h.SummaryMetric(summary.Metric{
+				Name:  p.str(attrName),
+				Sum:   p.float(attrSum),
+				SumSq: p.float(attrSumSq),
+				Num:   uint32(p.int(attrNum)),
+				Type:  metric.ParseType(string(p.raw(attrType))),
+				Units: p.str(attrUnits),
+			})
+		}
+	case elemSourceHealth:
+		if h.SourceHealth != nil {
+			h.SourceHealth(SourceHealth{
+				Name:       p.str(attrName),
+				Status:     p.str(attrStatus),
+				ActiveAddr: p.str(attrActive),
+				DownSince:  p.int(attrDownSince),
+				LastError:  p.str(attrLastError),
+			})
+		}
+	case elemHistory:
+		if h.StartHistory != nil {
+			h.StartHistory(History{
+				Cluster: p.str(attrCluster),
+				Host:    p.str(attrHost),
+				Metric:  p.str(attrMetric),
+				CF:      p.str(attrCF),
+				Step:    p.int(attrStep),
+			})
+		}
+	case elemPoint:
+		if h.HistoryPoint != nil {
+			h.HistoryPoint(HistoryPoint{Time: p.int(attrT), Value: parseHistoryValue(p.raw(attrV))})
 		}
 	}
-	return nil
+}
+
+// end delivers the event that closes an element.
+func (p *parser) end(el elem) {
+	h := p.h
+	switch el {
+	case elemReport:
+		p.rootClosed = true
+		if h.EndReport != nil {
+			h.EndReport()
+		}
+	case elemGrid:
+		if h.EndGrid != nil {
+			h.EndGrid()
+		}
+	case elemCluster:
+		if h.EndCluster != nil {
+			h.EndCluster()
+		}
+	case elemHost:
+		if h.EndHost != nil {
+			h.EndHost()
+		}
+	case elemHistory:
+		if h.EndHistory != nil {
+			h.EndHistory()
+		}
+	}
 }
 
 // ErrNoDocument is returned by Parse when the input holds no

@@ -18,13 +18,13 @@ The paper's scalability argument is an O(m) bound on what crosses each
 edge of the monitoring tree; MaxReportBytes and the codecs' length
 checks are how this port keeps that bound real. An uncapped io.ReadAll,
 Parse/ParseStream or ReadString on a raw conn lets one hostile or
-buggy source grow the daemon's memory without limit. In the codec and
-poll/serve/viewer packages (internal/xdr, internal/gxml,
-internal/gmetad, internal/webfront), any consumption of a reader that
-traces back to a Dial/Accept/Open result or net-typed value must pass
-through io.LimitReader or a cap-named wrapper (cappedReader,
-MaxReportBytes-style). Readers received as named-function parameters
-are the caller's responsibility.`,
+buggy source grow the daemon's memory without limit. In the codec,
+poll/serve/viewer and client packages (internal/xdr, internal/gxml,
+internal/gmetad, internal/webfront, cmd/gstat), any consumption of a
+reader that traces back to a Dial/Accept/Open result or net-typed
+value must pass through io.LimitReader or a cap-named wrapper
+(cappedReader, MaxReportBytes-style). Readers received as
+named-function parameters are the caller's responsibility.`,
 	Fix: `Wrap the source with io.LimitReader(r, max) or a cap-enforcing
 reader before consuming it, or annotate a deliberate unbounded read
 with //lint:allow boundedread <reason>.`,
@@ -39,6 +39,7 @@ var boundedReadScope = []string{
 	"ganglia/internal/gmetad",
 	"ganglia/internal/webfront",
 	"ganglia/internal/stream",
+	"ganglia/cmd/gstat",
 }
 
 // cappedName matches functions and types that impose a size cap.

@@ -172,8 +172,12 @@ func NewTyped(t Type, text string) Value {
 	if err != nil {
 		f = 0
 	}
-	return Value{typ: t, num: f}
+	return NewNumber(t, f)
 }
+
+// NewNumber returns a Value of the numeric type t holding v: NewTyped
+// for a caller that has already parsed the text.
+func NewNumber(t Type, v float64) Value { return Value{typ: t, num: v} }
 
 // Type returns the value's type.
 func (v Value) Type() Type { return v.typ }
