@@ -1,7 +1,6 @@
 package gmetad
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -33,7 +32,7 @@ import (
 const respFooter = "</GRID>\n</GANGLIA_XML>\n"
 
 // headerPool recycles the per-request header scratch buffers so cache
-// hits allocate nothing.
+// hits allocate nothing, and the health scratch of depth-0 misses.
 var headerPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -66,45 +65,45 @@ func buildHeaderPrefix(gridName, authority string, emitDTD bool) []byte {
 // renderFragment renders one snapshot's subtree to a fragment, with the
 // snapshot's age baked into every TN. Rendering happens once per
 // snapshot generation, on the poll path; the serve path only splices.
-func renderFragment(data *sourceData, mode Mode) *sourceFragment {
+// sizeHint is the source's previous fragment size: a poll's rendering
+// differs from the last one by a few value digits, so the buffer gets
+// that size plus a little slack and is rarely regrown.
+func renderFragment(data *sourceData, mode Mode, sizeHint int) *sourceFragment {
 	f := &sourceFragment{epoch: data.epoch}
-	var buf bytes.Buffer
-	w := gxml.NewWriter(&buf)
+	w := gxml.NewBuffer(make([]byte, 0, sizeHint+sizeHint/64))
 	switch {
 	case data.kind == SourceGmond:
-		// Record cluster and host byte spans as they are written: the
-		// writer has no internal buffering, so buf.Len() is exact after
-		// every element. The spans make this fragment diffable by the
+		// Record cluster and host byte spans as they are written: every
+		// element method writes a whole element, so w.Len() is exact
+		// between calls. The spans make this fragment diffable by the
 		// subscription feed at zero extra rendering cost.
 		f.spans = make([]clusterSpan, 0, len(data.clusterOrder))
 		for _, cname := range data.clusterOrder {
 			c := data.clusters[cname]
 			cs := clusterSpan{name: cname, hosts: make([]hostSpan, 0, len(c.order))}
-			cs.open.off = buf.Len()
+			cs.open.off = w.Len()
 			w.OpenCluster(c.meta.Name, c.meta.Owner, c.meta.URL, c.meta.LocalTime)
-			cs.open.end = buf.Len()
+			cs.open.end = w.Len()
 			for _, hname := range c.order {
 				hs := hostSpan{name: hname}
-				hs.b.off = buf.Len()
+				hs.b.off = w.Len()
 				w.HostAged(c.hosts[hname], data.age)
-				hs.b.end = buf.Len()
+				hs.b.end = w.Len()
 				cs.hosts = append(cs.hosts, hs)
 			}
 			w.CloseCluster()
 			f.spans = append(f.spans, cs)
 		}
-		f.clusters = buf.Bytes()
+		f.clusters = w.Bytes()
 	case mode == NLevel:
 		writeSummaryGrid(w, data)
-		f.grids = buf.Bytes()
+		f.grids = w.Bytes()
 	default: // OneLevel: the union of the child's data, full detail
 		for _, child := range data.grids {
 			w.GridAged(child, data.age)
 		}
-		f.grids = buf.Bytes()
+		f.grids = w.Bytes()
 	}
-	// A bytes.Buffer destination cannot fail; Flush is a formality.
-	_ = w.Flush()
 	return f
 }
 
@@ -168,30 +167,33 @@ func (g *Gmetad) renderRoot(summaryFilter bool) ([]byte, error) {
 	slots := g.snapshotOrder()
 
 	if summaryFilter {
-		var buf bytes.Buffer
-		w := gxml.NewWriter(&buf)
+		w := gxml.NewBuffer(nil)
 		g.renderHealth(w, slots)
 		w.SummaryBody(g.treeSummary())
-		return buf.Bytes(), w.Flush()
+		return w.Bytes(), nil
 	}
 
-	// One consistent view per slot, taken once; presize the buffer from
-	// the fragment sizes so splicing large trees does not reallocate.
+	// One consistent view per slot, taken once. The health records are
+	// rendered first, into pooled scratch, so the body is allocated once
+	// at its exact size: the health records plus every fragment.
 	type view struct {
 		data *sourceData
 		frag *sourceFragment
 	}
 	views := make([]view, len(slots))
-	size := 256
+	hp := headerPool.Get().(*[]byte)
+	hw := gxml.NewBuffer((*hp)[:0])
+	g.renderHealth(hw, slots)
+	size := hw.Len()
 	for i, slot := range slots {
 		views[i].data, views[i].frag = slot.view()
 		size += views[i].frag.size()
 	}
 
-	var buf bytes.Buffer
-	buf.Grow(size)
-	w := gxml.NewWriter(&buf)
-	g.renderHealth(w, slots)
+	w := gxml.NewBuffer(make([]byte, 0, size))
+	w.Raw(hw.Bytes())
+	*hp = hw.Bytes()
+	headerPool.Put(hp)
 	for _, v := range views {
 		if v.data == nil || v.data.kind != SourceGmond {
 			continue
@@ -222,7 +224,7 @@ func (g *Gmetad) renderRoot(summaryFilter bool) ([]byte, error) {
 			}
 		}
 	}
-	return buf.Bytes(), w.Flush()
+	return w.Bytes(), nil
 }
 
 // renderHealth streams the per-source SOURCE_HEALTH records.
@@ -242,9 +244,8 @@ func (g *Gmetad) renderHealth(w *gxml.Writer, slots []*sourceSlot) {
 // at the end to preserve that document order.
 func (g *Gmetad) renderSource(q *query.Query) ([]byte, error) {
 	m := q.Segments[0]
-	var cbuf, gbuf bytes.Buffer
-	wc := gxml.NewWriter(&cbuf) // CLUSTER elements
-	wg := gxml.NewWriter(&gbuf) // GRID elements
+	wc := gxml.NewBuffer(nil) // CLUSTER elements
+	wg := gxml.NewBuffer(nil) // GRID elements
 	found := false
 
 	emitSource := func(slot *sourceSlot) {
@@ -350,18 +351,8 @@ func (g *Gmetad) renderSource(q *query.Query) ([]byte, error) {
 	if !found {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, q.String())
 	}
-	if err := wc.Flush(); err != nil {
-		return nil, err
-	}
-	if err := wg.Flush(); err != nil {
-		return nil, err
-	}
-	if gbuf.Len() == 0 {
-		return cbuf.Bytes(), nil
-	}
-	cbuf.Grow(gbuf.Len())
-	_, _ = cbuf.Write(gbuf.Bytes())
-	return cbuf.Bytes(), nil
+	wc.Raw(wg.Bytes())
+	return wc.Bytes(), nil
 }
 
 // renderHost answers depth-2 and depth-3 queries: /cluster/host[/metric].
@@ -396,8 +387,7 @@ func (g *Gmetad) renderHost(q *query.Query) ([]byte, error) {
 		return n
 	}
 
-	var buf bytes.Buffer
-	w := gxml.NewWriter(&buf)
+	w := gxml.NewBuffer(nil)
 	opened := false
 	emitHost := func(h *gxml.Host) {
 		if !opened {
@@ -444,7 +434,7 @@ func (g *Gmetad) renderHost(q *query.Query) ([]byte, error) {
 		}
 	}
 	w.CloseCluster()
-	return buf.Bytes(), w.Flush()
+	return w.Bytes(), nil
 }
 
 // countFallbackRender accounts a serve-path render that could not

@@ -360,6 +360,42 @@ func TestCacheMissAllocationsScaleFree(t *testing.T) {
 	}
 }
 
+// TestCacheMissBodySizedExactly: a depth-0 miss allocates its body once,
+// at exactly the size of the health records plus the fragments, even
+// when long ACTIVE addresses and LAST_ERROR strings make the health
+// records far larger than a fixed slack would allow for.
+func TestCacheMissBodySizedExactly(t *testing.T) {
+	r := newRig(t)
+	long := strings.Repeat("a-rather-long-address-", 8)
+	var sources []DataSource
+	for i, name := range []string{"meteor", "nashi", "attic"} {
+		addr := long + name + ":8649"
+		r.cluster(name, addr, 3+i, int64(i+1))
+		sources = append(sources, DataSource{Name: name, Kind: SourceGmond, Addrs: []string{addr}})
+	}
+	for _, name := range []string{"down1", "down2"} {
+		sources = append(sources, DataSource{Name: name, Kind: SourceGmond,
+			Addrs: []string{long + name + "-a:8649", long + name + "-b:8649"}})
+	}
+	g := r.gmetad(Config{GridName: "SDSC", DisableResponseCache: true, Sources: sources}, "")
+	g.PollOnce(r.clk.Now())
+
+	body, err := g.renderRoot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := bytes.Index(body, []byte("<CLUSTER"))
+	if health <= 1024 || !bytes.Contains(body[:health], []byte("LAST_ERROR=")) {
+		t.Fatalf("precondition: want over 1 KiB of health records with errors, got %d bytes:\n%s", health, body[:max(health, 0)])
+	}
+	if cap(body) != len(body) {
+		t.Errorf("depth-0 body: len %d, cap %d; want an exact, never regrown allocation", len(body), cap(body))
+	}
+	if n := g.Accounting().Snapshot().FragmentFallbacks; n != 0 {
+		t.Errorf("%d fragment fallbacks, want 0", n)
+	}
+}
+
 // BenchmarkRenderDepth0 compares the retired DOM pipeline against the
 // zero-copy splice for a cache-miss depth-0 response (the whole-tree
 // dump parents poll every 15 s). Run with -benchmem: the allocs/op gap

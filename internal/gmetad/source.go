@@ -213,7 +213,7 @@ func (g *Gmetad) publishData(slot *sourceSlot, addr string, data *sourceData, no
 // the tracker rejects stale generations on its own.
 func (g *Gmetad) publishRendered(slot *sourceSlot, data *sourceData) {
 	timed(&g.acct.render, func() {
-		slot.frag.Store(renderFragment(data, g.cfg.Mode))
+		slot.frag.Store(renderFragment(data, g.cfg.Mode, slot.frag.Load().size()))
 	})
 	g.acct.fragmentRenders.Add(1)
 	if g.tracker != nil {

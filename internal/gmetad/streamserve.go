@@ -110,13 +110,9 @@ func (g *Gmetad) captureFeed(summaryForm bool) (*feedView, error) {
 	}
 
 	slots := g.snapshotOrder()
-	var buf bytes.Buffer
-	w := gxml.NewWriter(&buf)
+	w := gxml.NewBuffer(nil)
 	g.renderHealth(w, slots)
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	v.health = buf.Bytes()
+	v.health = w.Bytes()
 	for _, slot := range slots {
 		data, frag := slot.view()
 		if data == nil {
@@ -127,7 +123,7 @@ func (g *Gmetad) captureFeed(summaryForm bool) (*feedView, error) {
 			// and its fragment publish; render one privately, spans and
 			// all, like the serve path's fallback.
 			g.countFallbackRender()
-			frag = renderFragment(data, g.cfg.Mode)
+			frag = renderFragment(data, g.cfg.Mode, 0)
 		}
 		v.slots = append(v.slots, feedSlot{name: slot.cfg.Name, kind: data.kind, data: data, frag: frag})
 	}

@@ -45,26 +45,25 @@ func (w *Writer) HistoryElem(h *History) {
 // point, without materializing a History tree. Balance with
 // CloseHistory.
 func (w *Writer) OpenHistory(cluster, host, metric, cf string, step int64) {
-	w.str("<HISTORY")
-	w.attr("CLUSTER", cluster)
-	w.attr("HOST", host)
-	w.attr("METRIC", metric)
-	w.attr("CF", cf)
-	w.attrInt("STEP", step)
-	w.str(">\n")
+	b := append(w.buf, "<HISTORY"...)
+	b = appendAttr(b, ` CLUSTER="`, cluster)
+	b = appendAttr(b, ` HOST="`, host)
+	b = appendAttr(b, ` METRIC="`, metric)
+	b = appendAttr(b, ` CF="`, cf)
+	b = appendAttrInt(b, ` STEP="`, step)
+	w.put(append(b, ">\n"...))
 }
 
 // PointElem emits one POINT element; a NaN value is spelled "NaN"
 // (an unknown slot).
 func (w *Writer) PointElem(t int64, v float64) {
-	w.str("<POINT")
-	w.attrInt("T", t)
+	b := appendAttrInt(append(w.buf, "<POINT"...), ` T="`, t)
 	if math.IsNaN(v) {
-		w.attr("V", "NaN")
+		b = append(b, ` V="NaN"`...)
 	} else {
-		w.attrFloat("V", v)
+		b = appendAttrFloat(b, ` V="`, v)
 	}
-	w.str("/>\n")
+	w.put(append(b, "/>\n"...))
 }
 
 // CloseHistory emits a HISTORY element's close tag.
