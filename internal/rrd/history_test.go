@@ -419,25 +419,26 @@ type legacyPoolSnapshot struct {
 
 // legacyOf downgrades a live database to the pre-slab snapshot layout.
 func legacyOf(d *Database) legacyDBSnapshot {
+	cur := d.snapshot()
 	s := legacyDBSnapshot{
-		Spec:       d.spec,
-		Started:    d.started,
-		LastUpdate: d.lastUpdate,
-		LastRaw:    d.lastRaw,
-		PDPStart:   d.pdpStart,
-		PDPSum:     d.pdpSum,
-		PDPKnown:   d.pdpKnown,
-		Updates:    d.updates,
+		Spec:       cur.Spec,
+		Started:    cur.Started,
+		LastUpdate: cur.LastUpdate,
+		LastRaw:    cur.LastRaw,
+		PDPStart:   cur.PDPStart,
+		PDPSum:     cur.PDPSum,
+		PDPKnown:   cur.PDPKnown,
+		Updates:    cur.Updates,
 	}
-	for _, a := range d.archives {
+	for i, a := range cur.Archives {
 		s.Archives = append(s.Archives, legacyArchSnapshot{
-			Ring:    append([]float64(nil), a.ring...),
-			End:     a.end,
-			Next:    a.next,
-			Wrapped: a.wrapped,
-			Accum:   a.accum,
-			AccumN:  a.accumN,
-			Unknown: a.unknown,
+			Ring:    append([]float64(nil), d.archives[i].ring...),
+			End:     a.End,
+			Next:    a.Next,
+			Wrapped: a.Wrapped,
+			Accum:   a.Accum,
+			AccumN:  a.AccumN,
+			Unknown: a.Unknown,
 		})
 	}
 	return s
@@ -477,9 +478,7 @@ func TestLegacyGobSnapshotRestores(t *testing.T) {
 	p := legacyTestPool(t)
 	legacy := legacyPoolSnapshot{Version: persistVersion, Spec: p.spec, DBs: make(map[string]legacyDBSnapshot)}
 	for _, s := range p.shards {
-		for k, db := range s.dbs {
-			legacy.DBs[k.String()] = legacyOf(db)
-		}
+		s.each(func(key string, db *Database) { legacy.DBs[key] = legacyOf(db) })
 		legacy.Updates += s.updates
 		legacy.Errors += s.errors
 	}
@@ -515,9 +514,7 @@ func TestLegacyFramedSnapshotRestores(t *testing.T) {
 	var dbs []legacyFileDB
 	meta := snapFileMeta{Version: persistVersion, Spec: p.spec}
 	for _, s := range p.shards {
-		for k, db := range s.dbs {
-			dbs = append(dbs, legacyFileDB{Key: k.String(), DB: legacyOf(db)})
-		}
+		s.each(func(key string, db *Database) { dbs = append(dbs, legacyFileDB{Key: key, DB: legacyOf(db)}) })
 		meta.Updates += s.updates
 		meta.Errors += s.errors
 	}

@@ -9,8 +9,8 @@ import (
 // a million private copies of a few hundred distinct cluster, host and
 // metric names ("load_one" appears once per host, every host name once
 // per metric). The intern table maps every component to one shared
-// canonical string, so a series key is three string headers over shared
-// backing arrays — the storage-side half of making the archive store
+// canonical string, so the pool's host keys and metric-name map keys
+// are string headers over shared backing arrays — the storage-side half of making the archive store
 // viable at the radiotelescope regime of few names × many samples.
 
 // internTable deduplicates name strings. It is shared by all of a
@@ -22,25 +22,24 @@ type internTable struct {
 	m  map[string]string
 }
 
-// intern3 canonicalizes three name components in one lock round trip —
-// the common case (a key lookup on a warm pool) takes a single RLock.
-func (t *internTable) intern3(a, b, c string) (string, string, string) {
+// intern returns the canonical copy of s. The common case, a name
+// already seen, takes a single RLock.
+func (t *internTable) intern(s string) string {
 	t.mu.RLock()
-	ia, oka := t.m[a]
-	ib, okb := t.m[b]
-	ic, okc := t.m[c]
+	i, ok := t.m[s]
 	t.mu.RUnlock()
-	if oka && okb && okc {
-		return ia, ib, ic
+	if ok {
+		return i
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.internLocked(a), t.internLocked(b), t.internLocked(c)
+	return t.internLocked(s)
 }
 
 // internLocked returns the canonical copy of s, cloning on first sight:
 // the argument may be a substring of a larger buffer (a key split into
-// components), and storing it verbatim would pin that whole buffer.
+// components, a name in a parsed document), and storing it verbatim
+// would pin that whole buffer.
 func (t *internTable) internLocked(s string) string {
 	if i, ok := t.m[s]; ok {
 		return i
@@ -53,6 +52,12 @@ func (t *internTable) internLocked(s string) string {
 	return s
 }
 
+// internHost returns k with its names canonicalized.
+func (t *internTable) internHost(k hostKey) hostKey {
+	k.cluster, k.host = t.intern(k.cluster), t.intern(k.host)
+	return k
+}
+
 // len returns the number of distinct interned names.
 func (t *internTable) len() int {
 	t.mu.RLock()
@@ -60,43 +65,42 @@ func (t *internTable) len() int {
 	return len(t.m)
 }
 
-// seriesKey is one series' identity: interned cluster/host/metric name
-// components plus the original segment count, so arbitrary slash keys
-// (including the degenerate single-segment keys unit tests use) round
-// trip exactly through String.
-type seriesKey struct {
-	cluster, host, metric string
-	depth                 uint8
+// hostKey names one host of the pool: interned cluster and host names
+// plus the slash key's segment count, so arbitrary slash keys
+// (including the degenerate one- and two-segment keys unit tests use)
+// round trip exactly through key. Only three-segment keys carry a
+// metric name; shorter ones file their one series under metric "".
+type hostKey struct {
+	cluster, host string
+	depth         uint8
 }
 
-// splitKey decomposes a slash key into at most three components; a key
-// with more than two slashes keeps the tail in the metric component.
-func splitKey(key string) (cluster, host, metric string, depth uint8) {
-	cluster, depth = key, 1
+// splitKey decomposes a slash key into its host and metric name; a key
+// with more than two slashes keeps the tail in the metric name.
+func splitKey(key string) (k hostKey, metric string) {
+	k.cluster, k.depth = key, 1
 	if i := strings.IndexByte(key, '/'); i >= 0 {
-		cluster, host, depth = key[:i], key[i+1:], 2
-		if j := strings.IndexByte(host, '/'); j >= 0 {
-			host, metric, depth = host[:j], host[j+1:], 3
+		k.cluster, k.host, k.depth = key[:i], key[i+1:], 2
+		if j := strings.IndexByte(k.host, '/'); j >= 0 {
+			k.host, metric, k.depth = k.host[:j], k.host[j+1:], 3
 		}
 	}
-	return
+	return k, metric
 }
 
-// String reassembles the slash key.
-func (k seriesKey) String() string {
+// key reassembles the slash key of the host's series named metric.
+func (k hostKey) key(metric string) string {
 	switch k.depth {
 	case 1:
 		return k.cluster
 	case 2:
 		return k.cluster + "/" + k.host
 	}
-	return k.cluster + "/" + k.host + "/" + k.metric
+	return k.cluster + "/" + k.host + "/" + metric
 }
 
-// hash is FNV-1a over the components with separators, the shard
-// selector. It must agree for every spelling of the same series, so it
-// hashes the components rather than the original key string.
-func (k seriesKey) hash() uint32 {
+// hash is FNV-1a over the names with separators, the shard selector.
+func (k hostKey) hash() uint32 {
 	const prime = 16777619
 	h := uint32(2166136261)
 	mix := func(s string) {
@@ -109,7 +113,6 @@ func (k seriesKey) hash() uint32 {
 	}
 	mix(k.cluster)
 	mix(k.host)
-	mix(k.metric)
 	h ^= uint32(k.depth)
 	h *= prime
 	return h

@@ -1,6 +1,7 @@
 package rrd
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,11 @@ import (
 // stays negligible.
 const DefaultShards = 16
 
-// poolShard is one independently locked slice of the key space.
+// poolShard is one independently locked slice of the hosts: each host
+// maps metric names to that host's databases.
 type poolShard struct {
 	mu      sync.Mutex
-	dbs     map[seriesKey]*Database
+	hosts   map[hostKey]map[string]*Database
 	updates uint64 // guarded by mu
 	errors  uint64 // guarded by mu
 
@@ -40,17 +42,18 @@ func (s *poolShard) lock() {
 }
 
 // Pool manages the databases of one gmetad: one per archived series,
-// keyed by a slash path such as "Meteor/compute-0-0/load_one" for host
+// named by a slash path such as "Meteor/compute-0-0/load_one" for host
 // metrics or "Meteor/__summary__/load_one" for cluster summaries.
 //
-// Pool is safe for concurrent use. The key space is sharded by hash
-// across independently locked shards, so history fetches on the serve
-// path stop contending with the poll loop's archive updates — the
-// paper's §4 "too many updates to the file-based databases" burden,
-// isolated per shard instead of behind one global lock. Name components
-// are interned in a shared table (see intern.go), and per-shard update
-// counters feed the work accounting that stands in for %CPU in the
-// experiments.
+// Pool is safe for concurrent use. Series are grouped by host, and the
+// hosts are sharded by hash across independently locked shards: the
+// poll loop archives a host's whole report under one lock with one host
+// lookup (UpdateHost), and history fetches on the serve path contend
+// with it only on the same shard — the paper's §4 "too many updates to
+// the file-based databases" burden, paid once per host instead of once
+// per sample. Names are interned in a shared table (see intern.go) when
+// a series is created, and per-shard update counters feed the work
+// accounting that stands in for %CPU in the experiments.
 type Pool struct {
 	spec   Spec
 	names  internTable
@@ -69,64 +72,106 @@ func NewPoolShards(spec Spec, n int) *Pool {
 	}
 	p := &Pool{spec: spec, shards: make([]*poolShard, n)}
 	for i := range p.shards {
-		p.shards[i] = &poolShard{dbs: make(map[seriesKey]*Database)}
+		p.shards[i] = &poolShard{hosts: make(map[hostKey]map[string]*Database)}
 	}
 	return p
 }
 
-// keyOf interns a slash key's components into a series key.
-func (p *Pool) keyOf(key string) seriesKey {
-	c, h, m, d := splitKey(key)
-	c, h, m = p.names.intern3(c, h, m)
-	return seriesKey{cluster: c, host: h, metric: m, depth: d}
+// shardOf selects the shard owning host k.
+func (p *Pool) shardOf(k hostKey) *poolShard {
+	return p.shards[int(k.hash())%len(p.shards)]
 }
 
-// shardOf selects the shard owning k.
-func (p *Pool) shardOf(k seriesKey) *poolShard {
-	return p.shards[int(k.hash())%len(p.shards)]
+// Sample is one metric's value in a host's update.
+type Sample struct {
+	Metric string
+	Value  float64
+}
+
+// UpdateHost folds one host's samples, all taken at t, into the host's
+// series, creating each database on first use. It takes the host's
+// shard lock once and looks the host up once; a metric name is interned
+// only when its series is created. It returns how many samples were
+// rejected — ErrPastUpdate, e.g. two polls within one second — each
+// also counted in Stats.
+func (p *Pool) UpdateHost(cluster, host string, t time.Time, samples []Sample) (rejected int) {
+	rejected, _ = p.update(hostKey{cluster: cluster, host: host, depth: 3}, t, samples)
+	return rejected
 }
 
 // Update folds a sample into the series at key, creating the database
 // on first use.
 func (p *Pool) Update(key string, t time.Time, v float64) error {
-	return p.update(p.keyOf(key), t, v)
+	k, metric := splitKey(key)
+	return p.updateOne(k, metric, t, v)
 }
 
-// UpdateSeries is Update addressed by name components, skipping the
-// joined-key allocation on the poll hot path.
+// UpdateSeries is Update addressed by name components.
 func (p *Pool) UpdateSeries(cluster, host, metric string, t time.Time, v float64) error {
-	c, h, m := p.names.intern3(cluster, host, metric)
-	return p.update(seriesKey{cluster: c, host: h, metric: m, depth: 3}, t, v)
+	return p.updateOne(hostKey{cluster: cluster, host: host, depth: 3}, metric, t, v)
 }
 
-func (p *Pool) update(k seriesKey, t time.Time, v float64) error {
+// updateOne is the one-sample case of update, reporting a rejection as
+// an error.
+func (p *Pool) updateOne(k hostKey, metric string, t time.Time, v float64) error {
+	samples := [1]Sample{{Metric: metric, Value: v}}
+	rejected, err := p.update(k, t, samples[:])
+	if err != nil {
+		return err
+	}
+	if rejected > 0 {
+		return fmt.Errorf("%w: %s at %v", ErrPastUpdate, k.key(metric), t.Truncate(time.Second))
+	}
+	return nil
+}
+
+// update is the pool's one write path: samples at t into host k's
+// series. err is set only when a database cannot be created (the
+// pool's spec is invalid); those samples count as rejected but not as
+// update errors.
+func (p *Pool) update(k hostKey, t time.Time, samples []Sample) (rejected int, err error) {
+	sec, loc := t.Unix(), t.Location()
 	s := p.shardOf(k)
 	s.lock()
 	defer s.mu.Unlock()
-	db := s.dbs[k]
-	if db == nil {
-		var err error
-		db, err = New(p.spec)
-		if err != nil {
-			return err
+	dbs := s.hosts[k]
+	for i := range samples {
+		smp := &samples[i]
+		db := dbs[smp.Metric]
+		if db == nil {
+			var nerr error
+			if db, nerr = New(p.spec); nerr != nil {
+				rejected, err = rejected+1, nerr
+				continue
+			}
+			if dbs == nil {
+				dbs = make(map[string]*Database)
+				s.hosts[p.names.internHost(k)] = dbs
+			}
+			dbs[p.names.intern(smp.Metric)] = db
 		}
-		s.dbs[k] = db
+		if db.update(sec, loc, smp.Value) {
+			s.updates++
+		} else {
+			s.errors++
+			rejected++
+		}
 	}
-	if err := db.Update(t, v); err != nil {
-		s.errors++
-		return err
-	}
-	s.updates++
-	return nil
+	return rejected, err
+}
+
+// lookup locks the shard of host k and returns it with the series'
+// database, nil when the series does not exist. The caller unlocks.
+func (p *Pool) lookup(k hostKey, metric string) (*poolShard, *Database) {
+	s := p.shardOf(k)
+	s.lock()
+	return s, s.hosts[k][metric]
 }
 
 // Fetch queries the series at key; it returns nil for unknown keys.
 func (p *Pool) Fetch(key string, cf CF, start, end time.Time) []Point {
-	k := p.keyOf(key)
-	s := p.shardOf(k)
-	s.lock()
+	s, db := p.lookup(splitKey(key))
 	defer s.mu.Unlock()
-	db := s.dbs[k]
 	if db == nil {
 		return nil
 	}
@@ -136,11 +181,8 @@ func (p *Pool) Fetch(key string, cf CF, start, end time.Time) []Point {
 // FetchRange queries the series at key with query-time consolidation to
 // step (see Database.FetchRange); nil for unknown keys.
 func (p *Pool) FetchRange(key string, cf CF, start, end time.Time, step time.Duration) []Point {
-	k := p.keyOf(key)
-	s := p.shardOf(k)
-	s.lock()
+	s, db := p.lookup(splitKey(key))
 	defer s.mu.Unlock()
-	db := s.dbs[k]
 	if db == nil {
 		return nil
 	}
@@ -149,12 +191,8 @@ func (p *Pool) FetchRange(key string, cf CF, start, end time.Time, step time.Dur
 
 // FetchRangeSeries is FetchRange addressed by name components.
 func (p *Pool) FetchRangeSeries(cluster, host, metric string, cf CF, start, end time.Time, step time.Duration) []Point {
-	c, h, m := p.names.intern3(cluster, host, metric)
-	k := seriesKey{cluster: c, host: h, metric: m, depth: 3}
-	s := p.shardOf(k)
-	s.lock()
+	s, db := p.lookup(hostKey{cluster: cluster, host: host, depth: 3}, metric)
 	defer s.mu.Unlock()
-	db := s.dbs[k]
 	if db == nil {
 		return nil
 	}
@@ -164,11 +202,8 @@ func (p *Pool) FetchRangeSeries(cluster, host, metric string, cf CF, start, end 
 // FetchRecent returns the finest-resolution window for key; nil for
 // unknown keys.
 func (p *Pool) FetchRecent(key string, cf CF) []Point {
-	k := p.keyOf(key)
-	s := p.shardOf(k)
-	s.lock()
+	s, db := p.lookup(splitKey(key))
 	defer s.mu.Unlock()
-	db := s.dbs[k]
 	if db == nil {
 		return nil
 	}
@@ -181,11 +216,8 @@ func (p *Pool) FetchRecent(key string, cf CF) []Point {
 // consolidated row so far came out unknown, reports (0, false) until a
 // real value lands.
 func (p *Pool) Last(key string) (float64, bool) {
-	k := p.keyOf(key)
-	s := p.shardOf(k)
-	s.lock()
+	s, db := p.lookup(splitKey(key))
 	defer s.mu.Unlock()
-	db := s.dbs[k]
 	if db == nil || !db.known {
 		return 0, false
 	}
@@ -196,25 +228,23 @@ func (p *Pool) Last(key string) (float64, bool) {
 // touching its data — the existence probe behind "unknown series" vs
 // "known series, empty window" answers.
 func (p *Pool) HasSeries(cluster, host, metric string) bool {
-	c, h, m := p.names.intern3(cluster, host, metric)
-	k := seriesKey{cluster: c, host: h, metric: m, depth: 3}
-	s := p.shardOf(k)
-	s.lock()
+	s, db := p.lookup(hostKey{cluster: cluster, host: host, depth: 3}, metric)
 	defer s.mu.Unlock()
-	_, ok := s.dbs[k]
-	return ok
+	return db != nil
 }
 
 // SeriesHosts returns the sorted host names that hold a series for
 // cluster/metric — the enumeration behind cross-host reductions such as
-// topk. Interning makes the scan's comparisons cheap: equal names share
-// a backing pointer.
+// topk. It scans hosts, not series.
 func (p *Pool) SeriesHosts(cluster, metric string) []string {
 	var hosts []string
 	for _, s := range p.shards {
 		s.lock()
-		for k := range s.dbs {
-			if k.depth == 3 && k.cluster == cluster && k.metric == metric {
+		for k, dbs := range s.hosts {
+			if k.depth != 3 || k.cluster != cluster {
+				continue
+			}
+			if _, ok := dbs[metric]; ok {
 				hosts = append(hosts, k.host)
 			}
 		}
@@ -224,12 +254,49 @@ func (p *Pool) SeriesHosts(cluster, metric string) []string {
 	return hosts
 }
 
+// each calls f for every series of the shard, which the caller holds
+// locked.
+func (s *poolShard) each(f func(key string, db *Database)) {
+	for k, dbs := range s.hosts {
+		for m, db := range dbs {
+			f(k.key(m), db)
+		}
+	}
+}
+
+// series counts the shard's series; the caller holds it locked.
+func (s *poolShard) series() int {
+	n := 0
+	for _, dbs := range s.hosts {
+		n += len(dbs)
+	}
+	return n
+}
+
+// place files db under key in a pool that is still being built and
+// that no other goroutine can reach (so no locks are taken). It reports
+// false, filing nothing, when key already names a series.
+func (p *Pool) place(key string, db *Database) bool {
+	k, metric := splitKey(key)
+	s := p.shardOf(k)
+	dbs := s.hosts[k]
+	if dbs == nil {
+		dbs = make(map[string]*Database)
+		s.hosts[p.names.internHost(k)] = dbs
+	}
+	if _, dup := dbs[metric]; dup {
+		return false
+	}
+	dbs[p.names.intern(metric)] = db
+	return true
+}
+
 // Len returns the number of series.
 func (p *Pool) Len() int {
 	n := 0
 	for _, s := range p.shards {
 		s.lock()
-		n += len(s.dbs)
+		n += s.series()
 		s.mu.Unlock()
 	}
 	return n
@@ -240,9 +307,7 @@ func (p *Pool) Keys() []string {
 	var keys []string
 	for _, s := range p.shards {
 		s.lock()
-		for k := range s.dbs {
-			keys = append(keys, k.String())
-		}
+		s.each(func(key string, _ *Database) { keys = append(keys, key) })
 		s.mu.Unlock()
 	}
 	sort.Strings(keys)
@@ -277,7 +342,7 @@ func (p *Pool) ShardStats() []ShardStat {
 	for i, s := range p.shards {
 		s.lock()
 		out[i] = ShardStat{
-			Series:    len(s.dbs),
+			Series:    s.series(),
 			Updates:   s.updates,
 			Errors:    s.errors,
 			Contended: s.contended.Load(),
@@ -304,83 +369,4 @@ func (p *Pool) LockContention() (contended uint64, wait time.Duration) {
 		wait += time.Duration(s.waitNS.Load())
 	}
 	return contended, wait
-}
-
-// Batcher queues samples and applies them to a Pool in one critical
-// section per shard per Flush. The paper's §4 notes that gmetad's
-// archiving "makes too many updates to the file-based databases";
-// batching is the remedy it anticipates, and the ablation benchmark
-// compares the two disciplines. Sharding keeps the batch's critical
-// sections narrow: a flush holds each shard's lock only for that
-// shard's slice of the batch, so a concurrent history fetch on another
-// shard never waits behind the whole batch.
-type Batcher struct {
-	pool    *Pool
-	pending []batchedSample
-}
-
-type batchedSample struct {
-	key seriesKey
-	t   time.Time
-	v   float64
-}
-
-// NewBatcher returns a Batcher feeding pool.
-func NewBatcher(pool *Pool) *Batcher {
-	return &Batcher{pool: pool}
-}
-
-// Add queues one sample. Samples for the same key must be added in
-// time order, as with direct updates.
-func (b *Batcher) Add(key string, t time.Time, v float64) {
-	b.pending = append(b.pending, batchedSample{b.pool.keyOf(key), t, v})
-}
-
-// Pending returns the queue length.
-func (b *Batcher) Pending() int { return len(b.pending) }
-
-// Flush applies all queued samples, holding each shard's lock once for
-// its slice of the batch, and empties the queue, returning the count
-// applied and the first error (flushing continues past errors so one
-// bad sample cannot wedge the queue).
-func (b *Batcher) Flush() (applied int, first error) {
-	p := b.pool
-	for si, s := range p.shards {
-		touched := false
-		for _, smp := range b.pending {
-			if int(smp.key.hash())%len(p.shards) != si {
-				continue
-			}
-			if !touched {
-				s.lock()
-				touched = true
-			}
-			db := s.dbs[smp.key]
-			if db == nil {
-				var err error
-				db, err = New(p.spec)
-				if err != nil {
-					if first == nil {
-						first = err
-					}
-					continue
-				}
-				s.dbs[smp.key] = db
-			}
-			if err := db.Update(smp.t, smp.v); err != nil {
-				s.errors++
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			s.updates++
-			applied++
-		}
-		if touched {
-			s.mu.Unlock()
-		}
-	}
-	b.pending = b.pending[:0]
-	return applied, first
 }
