@@ -16,6 +16,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,31 +58,103 @@ func buildInstance(mode gmetad.Mode, hostsPerCluster int) (*tree.Instance, *cloc
 	return inst, clk, nil
 }
 
-// runWindow advances the tree through rounds polling rounds of interval
-// each, returning per-node work deltas.
-func runWindow(inst *tree.Instance, clk *clock.Virtual, rounds, warmup int, interval time.Duration) map[string]gmetad.Snapshot {
-	for i := 0; i < warmup; i++ {
-		clk.Advance(interval)
-		inst.PollRound(clk.Now())
+// designWindow is one design's measurement over a window of polling
+// rounds.
+type designWindow struct {
+	// total is each node's work summed over the window.
+	total map[string]gmetad.Snapshot
+	// cpu is each node's median %CPU of one round.
+	cpu map[string]float64
+	// aggregate is the median over rounds of the %CPU summed over all
+	// nodes.
+	aggregate float64
+}
+
+// runDesigns stands up the fig-2 tree once per design, with
+// hostsPerCluster hosts per cluster, and advances both trees through
+// warmup and then rounds polling rounds of interval each, alternating
+// between the designs round by round. Work is wall-clock accounting,
+// so a scheduler stall or GC pause inflates whichever round it lands
+// in: interleaving puts both designs under the same machine conditions,
+// and the per-round medians drop the rounds that were hit.
+func runDesigns(hostsPerCluster, rounds, warmup int, interval time.Duration) (map[gmetad.Mode]*designWindow, error) {
+	modes := []gmetad.Mode{gmetad.OneLevel, gmetad.NLevel}
+	insts := make([]*tree.Instance, len(modes))
+	clks := make([]*clock.Virtual, len(modes))
+	for i, mode := range modes {
+		inst, clk, err := buildInstance(mode, hostsPerCluster)
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", mode, err)
+		}
+		defer inst.Close()
+		insts[i], clks[i] = inst, clk
 	}
-	// Collect garbage from warm-up so a GC pause triggered by one
-	// mode's allocations is not charged to an arbitrary node of the
-	// measured window. Short windows (≤2 rounds) remain noisy; the
-	// defaults use more.
+	snapshots := func(inst *tree.Instance) map[string]gmetad.Snapshot {
+		out := make(map[string]gmetad.Snapshot, len(inst.Gmetads))
+		for name, g := range inst.Gmetads {
+			out[name] = g.Accounting().Snapshot()
+		}
+		return out
+	}
+	for r := 0; r < warmup; r++ {
+		for i, inst := range insts {
+			inst.PollRound(clks[i].Advance(interval))
+		}
+	}
+	// Collect the warm-up's garbage, so a GC pause it triggers is not
+	// charged to the measured window.
 	runtime.GC()
-	before := make(map[string]gmetad.Snapshot)
-	for name, g := range inst.Gmetads {
-		before[name] = g.Accounting().Snapshot()
+	start := make([]map[string]gmetad.Snapshot, len(modes))
+	cpu := make([]map[string][]float64, len(modes))
+	agg := make([][]float64, len(modes))
+	for i, inst := range insts {
+		start[i], cpu[i] = snapshots(inst), make(map[string][]float64)
 	}
-	for i := 0; i < rounds; i++ {
-		clk.Advance(interval)
-		inst.PollRound(clk.Now())
+	for r := 0; r < rounds; r++ {
+		for k := range insts {
+			i := k
+			if r%2 == 1 { // alternate which design goes first
+				i = len(insts) - 1 - k
+			}
+			before := snapshots(insts[i])
+			insts[i].PollRound(clks[i].Advance(interval))
+			sum := 0.0
+			for name, snap := range snapshots(insts[i]) {
+				pct := snap.Sub(before[name]).CPUPercent(interval)
+				cpu[i][name] = append(cpu[i][name], pct)
+				sum += pct
+			}
+			agg[i] = append(agg[i], sum)
+		}
 	}
-	delta := make(map[string]gmetad.Snapshot)
-	for name, g := range inst.Gmetads {
-		delta[name] = g.Accounting().Snapshot().Sub(before[name])
+	out := make(map[gmetad.Mode]*designWindow, len(modes))
+	for i, mode := range modes {
+		w := &designWindow{
+			total:     snapshots(insts[i]),
+			cpu:       make(map[string]float64),
+			aggregate: median(agg[i]),
+		}
+		for name, snap := range w.total {
+			w.total[name] = snap.Sub(start[i][name])
+			w.cpu[name] = median(cpu[i][name])
+		}
+		out[mode] = w
 	}
-	return delta
+	return out, nil
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count), 0 for none; xs is reordered.
+func median[T ~int64 | ~float64](xs []T) T {
+	if len(xs) == 0 {
+		return 0
+	}
+	slices.Sort(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[m]
+	}
+	return (xs[m-1] + xs[m]) / 2
 }
 
 // formatTable renders rows of columns with aligned widths.

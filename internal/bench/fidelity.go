@@ -16,7 +16,8 @@ import (
 type FidelityConfig struct {
 	// Hosts is the cluster size under comparison.
 	Hosts int
-	// Rounds is the number of measured polling rounds.
+	// Rounds sets the measurement length: 3×Rounds polling rounds per
+	// backend, whose median is reported.
 	Rounds int
 	// Tolerance is the accepted relative difference between the
 	// gmetad's per-round work against the two cluster backends.
@@ -78,11 +79,16 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 	cfg.defaults()
 	res := &FidelityResult{Config: cfg}
 
-	measure := func(addr string, setup func(net *transport.InMemNetwork, clk *clock.Virtual) (cleanup func(), step func(now time.Time))) (time.Duration, int64, error) {
+	// backend is one gmetad polling one cluster backend; round polls
+	// once and returns the round's work and XML volume.
+	type backend struct {
+		round func() (time.Duration, int64)
+		close func()
+	}
+	start := func(addr string, setup func(net *transport.InMemNetwork, clk *clock.Virtual) (cleanup func(), step func(now time.Time))) (*backend, error) {
 		net := transport.NewInMemNetwork()
 		clk := clock.NewVirtual(t0)
 		cleanup, step := setup(net, clk)
-		defer cleanup()
 		g, err := gmetad.New(gmetad.Config{
 			GridName:    "fidelity",
 			Network:     net,
@@ -92,42 +98,26 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 			ArchiveSpec: experimentArchive(),
 		})
 		if err != nil {
-			return 0, 0, err
+			cleanup()
+			return nil, err
 		}
-		defer g.Close()
-		run := func(rounds int) {
-			for i := 0; i < rounds; i++ {
-				now := clk.Advance(15 * time.Second)
-				if step != nil {
-					step(now)
-				}
-				g.PollOnce(now)
-			}
-		}
-		run(2) // warm-up
-		// Best of three batches: Work() is wall-clock accounting, so a
-		// scheduling spike from unrelated concurrently running tests
-		// would otherwise inflate whichever backend happened to be
-		// measured during it. The minimum batch is the least-noise
-		// estimate of the per-round processing effort.
-		var bestWork time.Duration
-		var bestBytes int64
-		for batch := 0; batch < 3; batch++ {
+		b := &backend{close: func() { g.Close(); cleanup() }}
+		b.round = func() (time.Duration, int64) {
 			before := g.Accounting().Snapshot()
-			run(cfg.Rounds)
-			delta := g.Accounting().Snapshot().Sub(before)
-			work := delta.Work() / time.Duration(cfg.Rounds)
-			if batch == 0 || work < bestWork {
-				bestWork = work
-				bestBytes = delta.BytesIn / int64(cfg.Rounds)
+			now := clk.Advance(15 * time.Second)
+			if step != nil {
+				step(now)
 			}
+			g.PollOnce(now)
+			delta := g.Accounting().Snapshot().Sub(before)
+			return delta.Work(), delta.BytesIn
 		}
-		return bestWork, bestBytes, nil
+		return b, nil
 	}
 
 	// Backend 1: the pseudo-gmond emulator.
 	var perr error
-	res.PseudoWork, res.PseudoBytes, perr = measure("cluster:8649",
+	pseudoB, err := start("cluster:8649",
 		func(net *transport.InMemNetwork, clk *clock.Virtual) (func(), func(time.Time)) {
 			p := pseudo.New("c", cfg.Hosts, 1, clk)
 			l, err := net.Listen("cluster:8649")
@@ -138,17 +128,27 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 			go p.Serve(l)
 			return p.Close, nil
 		})
-	if perr != nil {
-		return nil, perr
+	if err == nil && perr != nil {
+		pseudoB.close()
+		err = perr
 	}
+	if err != nil {
+		return nil, err
+	}
+	defer pseudoB.close()
 
 	// Backend 2: real gmond agents sharing a multicast channel; the
 	// first agent serves the cluster report.
 	var gerr error
-	res.RealWork, res.RealBytes, gerr = measure("cluster:8649",
+	realB, err := start("cluster:8649",
 		func(net *transport.InMemNetwork, clk *clock.Virtual) (func(), func(time.Time)) {
 			bus := transport.NewInMemBus()
 			agents := make([]*gmond.Gmond, 0, cfg.Hosts)
+			cleanup := func() {
+				for _, a := range agents {
+					a.Close()
+				}
+			}
 			for i := 0; i < cfg.Hosts; i++ {
 				host := fmt.Sprintf("compute-c-%d", i)
 				a, err := gmond.New(gmond.Config{
@@ -157,7 +157,7 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 				})
 				if err != nil {
 					gerr = err
-					return func() {}, nil
+					return cleanup, nil
 				}
 				agents = append(agents, a)
 			}
@@ -173,19 +173,38 @@ func RunFidelity(cfg FidelityConfig) (*FidelityResult, error) {
 			l, err := net.Listen("cluster:8649")
 			if err != nil {
 				gerr = err
-				return func() {}, nil
+				return cleanup, nil
 			}
 			go agents[0].Serve(l)
-			cleanup := func() {
-				for _, a := range agents {
-					a.Close()
-				}
-			}
 			return cleanup, step
 		})
-	if gerr != nil {
-		return nil, gerr
+	if err == nil && gerr != nil {
+		realB.close()
+		err = gerr
 	}
+	if err != nil {
+		return nil, err
+	}
+	defer realB.close()
+
+	for i := 0; i < 2; i++ { // warm-up
+		pseudoB.round()
+		realB.round()
+	}
+	// Work() is wall-clock accounting, so a scheduling spike from an
+	// unrelated concurrently running test inflates whichever round it
+	// lands in. The backends poll in turn, round by round, so both see
+	// the same machine conditions, and the medians over 3×Rounds rounds
+	// drop the rounds that were hit.
+	n := 3 * cfg.Rounds
+	pw, rw := make([]time.Duration, n), make([]time.Duration, n)
+	pb, rb := make([]int64, n), make([]int64, n)
+	for i := 0; i < n; i++ {
+		pw[i], pb[i] = pseudoB.round()
+		rw[i], rb[i] = realB.round()
+	}
+	res.PseudoWork, res.PseudoBytes = median(pw), median(pb)
+	res.RealWork, res.RealBytes = median(rw), median(rb)
 	return res, nil
 }
 
@@ -216,10 +235,10 @@ func (r *FidelityResult) ShapeErrors() []string {
 func (r *FidelityResult) Table() string {
 	return fmt.Sprintf(
 		"Pseudo-gmond fidelity (§3 claim: same processing effort as real gmond)\n"+
-			"  cluster size:    %d hosts, %d rounds\n"+
+			"  cluster size:    %d hosts, median of %d rounds\n"+
 			"  gmetad work:     pseudo %v/round, real %v/round (diff %.0f%%)\n"+
 			"  XML per round:   pseudo %d bytes, real %d bytes\n",
-		r.Config.Hosts, r.Config.Rounds,
+		r.Config.Hosts, 3*r.Config.Rounds,
 		r.PseudoWork, r.RealWork, r.RelDiff()*100,
 		r.PseudoBytes, r.RealBytes)
 }

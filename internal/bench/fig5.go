@@ -64,7 +64,8 @@ type Fig5Result struct {
 }
 
 // RunFig5 measures per-gmetad CPU utilization in the fig-2 monitoring
-// tree for both designs.
+// tree for both designs: each bar is the node's median %CPU over the
+// measured rounds, the designs' rounds interleaved (see runDesigns).
 func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	cfg.defaults()
 	topo := tree.FigureTwo(cfg.ClusterSize)
@@ -77,25 +78,18 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 		}
 	}
 
-	window := time.Duration(cfg.Rounds) * cfg.PollInterval
-	work := make(map[gmetad.Mode]map[string]gmetad.Snapshot)
-	for _, mode := range []gmetad.Mode{gmetad.OneLevel, gmetad.NLevel} {
-		inst, clk, err := buildInstance(mode, cfg.ClusterSize)
-		if err != nil {
-			return nil, fmt.Errorf("fig5 %v: %w", mode, err)
-		}
-		work[mode] = runWindow(inst, clk, cfg.Rounds, cfg.WarmupRounds, cfg.PollInterval)
-		inst.Close()
+	work, err := runDesigns(cfg.ClusterSize, cfg.Rounds, cfg.WarmupRounds, cfg.PollInterval)
+	if err != nil {
+		return nil, fmt.Errorf("fig5 %w", err)
 	}
-
+	one, n := work[gmetad.OneLevel], work[gmetad.NLevel]
 	for _, name := range topo.GmetadNames() {
-		one, n := work[gmetad.OneLevel][name], work[gmetad.NLevel][name]
 		res.Rows = append(res.Rows, Fig5Row{
 			Node:         name,
-			OneLevel:     one.CPUPercent(window),
-			NLevel:       n.CPUPercent(window),
-			OneLevelWork: one,
-			NLevelWork:   n,
+			OneLevel:     one.cpu[name],
+			NLevel:       n.cpu[name],
+			OneLevelWork: one.total[name],
+			NLevelWork:   n.total[name],
 		})
 	}
 	return res, nil

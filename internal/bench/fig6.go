@@ -52,31 +52,21 @@ type Fig6Result struct {
 
 // RunFig6 sweeps the monitored cluster size with the monitoring tree
 // unchanged, measuring aggregate CPU utilization across all gmetad
-// nodes under both designs.
+// nodes under both designs: the median over the measured rounds of the
+// nodes' summed %CPU, the designs' rounds interleaved (see runDesigns).
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	cfg.defaults()
 	res := &Fig6Result{Config: cfg}
-	window := time.Duration(cfg.Rounds) * cfg.PollInterval
 	for _, size := range cfg.Sizes {
-		pt := Fig6Point{ClusterSize: size}
-		for _, mode := range []gmetad.Mode{gmetad.OneLevel, gmetad.NLevel} {
-			inst, clk, err := buildInstance(mode, size)
-			if err != nil {
-				return nil, fmt.Errorf("fig6 %v size %d: %w", mode, size, err)
-			}
-			delta := runWindow(inst, clk, cfg.Rounds, cfg.WarmupRounds, cfg.PollInterval)
-			inst.Close()
-			agg := 0.0
-			for _, snap := range delta {
-				agg += snap.CPUPercent(window)
-			}
-			if mode == gmetad.OneLevel {
-				pt.OneLevel = agg
-			} else {
-				pt.NLevel = agg
-			}
+		work, err := runDesigns(size, cfg.Rounds, cfg.WarmupRounds, cfg.PollInterval)
+		if err != nil {
+			return nil, fmt.Errorf("fig6 size %d %w", size, err)
 		}
-		res.Points = append(res.Points, pt)
+		res.Points = append(res.Points, Fig6Point{
+			ClusterSize: size,
+			OneLevel:    work[gmetad.OneLevel].aggregate,
+			NLevel:      work[gmetad.NLevel].aggregate,
+		})
 	}
 	return res, nil
 }
