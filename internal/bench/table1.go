@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"ganglia/internal/gmetad"
@@ -19,7 +18,8 @@ type Table1Config struct {
 	// samples". The median is reported instead of the mean: one
 	// scheduler stall on a shared machine can outweigh a whole N-level
 	// download, which since the parser got faster is a few hundred
-	// microseconds.
+	// microseconds. Each sample round times every view under both
+	// designs, so a stall lands in one round.
 	Samples int
 }
 
@@ -66,14 +66,22 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	cfg.defaults()
 	res := &Table1Result{Config: cfg}
 
-	type sample struct {
-		elapsed time.Duration
+	// The sdsc node's local cluster and one of its hosts — the paper's
+	// meteor / compute-0-0.
+	clusterName := "nashi-a"
+	hostName := fmt.Sprintf("compute-%s-%d", clusterName, 0)
+	modes := []gmetad.Mode{gmetad.OneLevel, gmetad.NLevel}
+	views := []webfront.View{webfront.MetaView, webfront.ClusterView, webfront.HostView}
+	type probe struct {
+		run     func() (*webfront.Result, error)
+		elapsed []time.Duration
 		bytes   int64
 	}
-	measure := func(mode gmetad.Mode) (map[webfront.View]sample, error) {
+	probes := make(map[gmetad.Mode]map[webfront.View]*probe)
+	for _, mode := range modes {
 		inst, clk, err := buildInstance(mode, cfg.ClusterSize)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("table1 %v: %w", mode, err)
 		}
 		defer inst.Close()
 		inst.PollRound(clk.Now())
@@ -82,50 +90,37 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 			Addr:         tree.QueryAddr("sdsc"),
 			QuerySupport: mode == gmetad.NLevel,
 		}
-		// The sdsc node's local cluster and one of its hosts — the
-		// paper's meteor / compute-0-0.
-		clusterName := "nashi-a"
-		hostName := fmt.Sprintf("compute-%s-%d", clusterName, 0)
-
-		out := make(map[webfront.View]sample)
-		for view, run := range map[webfront.View]func() (*webfront.Result, error){
-			webfront.MetaView:    v.Meta,
-			webfront.ClusterView: func() (*webfront.Result, error) { return v.Cluster(clusterName) },
-			webfront.HostView:    func() (*webfront.Result, error) { return v.Host(clusterName, hostName) },
-		} {
-			// One untimed warm-up to populate OS and runtime caches.
-			if _, err := run(); err != nil {
-				return nil, fmt.Errorf("%v %v: %w", mode, view, err)
-			}
-			elapsed := make([]time.Duration, cfg.Samples)
-			var bytes int64
-			for i := range elapsed {
-				r, err := run()
-				if err != nil {
-					return nil, fmt.Errorf("%v %v: %w", mode, view, err)
-				}
-				elapsed[i] = r.Elapsed
-				bytes = r.Bytes
-			}
-			slices.Sort(elapsed)
-			out[view] = sample{elapsed: elapsed[len(elapsed)/2], bytes: bytes}
+		probes[mode] = map[webfront.View]*probe{
+			webfront.MetaView:    {run: v.Meta},
+			webfront.ClusterView: {run: func() (*webfront.Result, error) { return v.Cluster(clusterName) }},
+			webfront.HostView:    {run: func() (*webfront.Result, error) { return v.Host(clusterName, hostName) }},
 		}
-		return out, nil
 	}
-
-	one, err := measure(gmetad.OneLevel)
-	if err != nil {
-		return nil, fmt.Errorf("table1 1-level: %w", err)
+	// One untimed warm-up per view to populate OS and runtime caches,
+	// then cfg.Samples rounds that each time every view under both
+	// designs in turn: a scheduler stall lands in one round, and the
+	// medians drop it.
+	for round := -1; round < cfg.Samples; round++ {
+		for _, mode := range modes {
+			for _, view := range views {
+				pr := probes[mode][view]
+				r, err := pr.run()
+				if err != nil {
+					return nil, fmt.Errorf("table1 %v %v: %w", mode, view, err)
+				}
+				if round >= 0 {
+					pr.elapsed = append(pr.elapsed, r.Elapsed)
+					pr.bytes = r.Bytes
+				}
+			}
+		}
 	}
-	n, err := measure(gmetad.NLevel)
-	if err != nil {
-		return nil, fmt.Errorf("table1 N-level: %w", err)
-	}
-	for _, view := range []webfront.View{webfront.MetaView, webfront.ClusterView, webfront.HostView} {
+	one, n := probes[gmetad.OneLevel], probes[gmetad.NLevel]
+	for _, view := range views {
 		res.Rows = append(res.Rows, Table1Row{
 			View:          view,
-			OneLevel:      one[view].elapsed,
-			NLevel:        n[view].elapsed,
+			OneLevel:      median(one[view].elapsed),
+			NLevel:        median(n[view].elapsed),
 			OneLevelBytes: one[view].bytes,
 			NLevelBytes:   n[view].bytes,
 		})
