@@ -32,7 +32,8 @@ type HistoryConfig struct {
 	// Rounds is the number of polling rounds that populate the archives
 	// before measurement.
 	Rounds int
-	// Queries is how many history queries each measurement leg serves.
+	// Queries is how many history queries each measurement leg serves
+	// per repetition (see historyReps).
 	Queries int
 	// Shards is the archive pool's shard count; 0 means the default.
 	Shards int
@@ -154,6 +155,9 @@ func historyArchive() rrd.Spec {
 	}
 }
 
+// historyReps is how many times each measurement leg is repeated.
+const historyReps = 5
+
 // RunHistory measures the history query engine quiet and under
 // concurrent poll load.
 func RunHistory(cfg HistoryConfig) (*HistoryResult, error) {
@@ -258,42 +262,51 @@ func RunHistory(cfg HistoryConfig) (*HistoryResult, error) {
 		}
 		return float64(n) / elapsed.Seconds(), nil
 	}
-
-	before := g.Accounting().Snapshot()
-	if res.QuietQPS, err = measure(cfg.Queries); err != nil {
-		return nil, err
-	}
-
-	// Concurrent leg: a poll loop folds the whole cluster's samples into
-	// the pool for the duration of the measurement.
-	stop := make(chan struct{})
-	done := make(chan struct{})
+	// duringPoll measures n queries while a poll loop folds the whole
+	// cluster's samples into the pool.
 	var rounds atomic.Int64
-	go func() {
-		defer close(done)
-		// Stop is checked after each round, not before the first — even
-		// a measurement leg faster than one poll contends with one. The
-		// pause between rounds models a frequent-but-not-saturating
-		// polling cadence; an unpaced loop would measure CPU starvation,
-		// not lock contention.
-		for {
-			clk.Advance(interval)
-			g.PollOnce(clk.Now())
-			rounds.Add(1)
-			select {
-			case <-stop:
-				return
-			default:
+	duringPoll := func(n int) (float64, error) {
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			// Stop is checked after each round, not before the first —
+			// even a measurement faster than one poll contends with
+			// one. The pause between rounds models a
+			// frequent-but-not-saturating polling cadence; an unpaced
+			// loop would measure CPU starvation, not lock contention.
+			for {
+				clk.Advance(interval)
+				g.PollOnce(clk.Now())
+				rounds.Add(1)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				time.Sleep(2 * time.Millisecond) //lint:allow clock bench paces the real concurrent poll loop
 			}
-			time.Sleep(2 * time.Millisecond) //lint:allow clock bench paces the real concurrent poll loop
-		}
-	}()
-	res.ConcurrentQPS, err = measure(cfg.Queries)
-	close(stop)
-	<-done
-	if err != nil {
-		return nil, err
+		}()
+		qps, err := measure(n)
+		close(stop)
+		<-done
+		return qps, err
 	}
+
+	// The two legs run in turn, historyReps times, so both see the same
+	// machine conditions; each leg's throughput is the median over its
+	// repetitions, which drops the ones a scheduler stall landed in.
+	before := g.Accounting().Snapshot()
+	var quiet, concurrent [historyReps]float64
+	for i := range quiet {
+		if quiet[i], err = measure(cfg.Queries); err == nil {
+			concurrent[i], err = duringPoll(cfg.Queries)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	res.QuietQPS, res.ConcurrentQPS = median(quiet[:]), median(concurrent[:])
 	res.PollRounds = rounds.Load()
 	if res.QuietQPS > 0 {
 		res.ConcurrentRatio = res.ConcurrentQPS / res.QuietQPS
